@@ -77,7 +77,7 @@ from .experiments import (
 from .networks import EXTENSION_NETWORK_NAMES, NETWORK_NAMES
 from .nic import CollectiveParams, NifdyParams
 from .obs import Observability, chrome_trace, metrics_json, write_json
-from .sim import scheduler_names
+from .sim import DEFAULT_SCHEDULER, scheduler_names
 
 TRAFFIC_CHOICES = (
     "heavy", "light", "cshift", "em3d", "radix", "hotspot", "incast", "rpc",
@@ -625,7 +625,7 @@ def _cmd_perf(args) -> int:
         for k in kernels
         if k != baseline and base_eps and rows[k]["events_per_sec"]
     }
-    speedup = speedups.get("bucket", 0.0) if baseline == "heap" else 0.0
+    speedup = speedups.get(DEFAULT_SCHEDULER, 0.0) if baseline == "heap" else 0.0
 
     json_to_stdout = args.json == "-"
     stack = contextlib.ExitStack()
@@ -788,7 +788,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--profile", action="store_true",
                      help="print simulator self-profiling "
                      "(events/sec, per-handler wall-clock)")
-    run.add_argument("--kernel", default="bucket", choices=scheduler_names(),
+    run.add_argument("--kernel", default=DEFAULT_SCHEDULER,
+                     choices=scheduler_names(),
                      help="event-queue implementation (results are "
                      "bit-identical; 'heap' is the slow reference)")
     run.add_argument("--json", action="store_true",

@@ -31,7 +31,7 @@ from ..faults import FaultPlan
 from ..nic import CollectiveParams, NifdyParams, ReorderParams
 from ..node import CM5_TIMING, Timing
 from ..obs import Observability
-from ..sim import scheduler_names
+from ..sim import DEFAULT_SCHEDULER, scheduler_names
 from ..traffic import TrafficSpec
 
 
@@ -67,12 +67,12 @@ class ExperimentSpec:
     run_cycles: Optional[int] = None
     max_cycles: int = 5_000_000
     seed: int = 0
-    #: Event-queue implementation ("bucket" fast path or the "heap"
-    #: baseline).  Results are bit-identical by construction -- the
+    #: Event-queue implementation (the "epoch" fast path or the "heap"
+    #: reference).  Results are bit-identical by construction -- the
     #: scheduler parity suite enforces it -- but the choice is still part
     #: of the spec (and its hash) so a parity regression can never alias
     #: cache entries across kernels.
-    kernel: str = "bucket"
+    kernel: str = DEFAULT_SCHEDULER
     timing: Optional[Timing] = None  # None -> CM5_TIMING
     check_order: bool = True
     track_congestion: bool = False

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Optional
 
+from ..sim import DEFAULT_SCHEDULER
 from ..traffic import (
     AllReduceConfig,
     CShiftConfig,
@@ -76,7 +77,7 @@ def perf_reference_spec(
     num_nodes: int = 64,
     run_cycles: int = 20_000,
     seed: int = 11,
-    kernel: str = "bucket",
+    kernel: str = DEFAULT_SCHEDULER,
     observe: Optional["Observability"] = None,
 ) -> "ExperimentSpec":
     """The fixed-seed workload ``repro perf`` and the kernel benchmark run.

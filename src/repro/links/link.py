@@ -277,8 +277,8 @@ class Link:
         self._complete_cb = self._complete
         self._accept_cb = sink.accept_flit if sink is not None else None
         # Token runs are an epoch-kernel capability: schedulers advertise it
-        # via the `link_streams` flag so heap/bucket keep the classic
-        # flit-by-flit event shape (their parity baseline).
+        # via the `link_streams` flag so heap keeps the classic
+        # flit-by-flit event shape (the parity baseline).
         self._ep = bool(getattr(sim, "link_streams", False))
         self._s_vc = -1          # VC of the open run; -1 = no run
         self._s_clean = False    # False once any rival-VC state changed
@@ -645,23 +645,29 @@ class Link:
         Mirrors the non-tail half of :meth:`_complete` exactly: free the
         wire, deliver (or defer) the flit, then kick.  The tail never
         arrives here -- the fast path hands it back to the classic grant.
+
+        The head flag is consumed *before* delivery: delivering can re-enter
+        this link (downstream credit return -> :meth:`_kick`), close this
+        run and open the next packet's, whose fresh ``_s_head`` must
+        survive.
         """
         self._busy = False
+        head = self._s_head
+        self._s_head = False
         if not self._s_dropping:
             if self._s_defer:
                 if not self._s_deferred:
-                    self._s_deferred_head = self._s_head
+                    self._s_deferred_head = head
                 self._s_deferred += 1
             else:
                 accept = self._s_accept
                 if accept is not None:
-                    accept(self._s_packet, self._s_head, False)
+                    accept(self._s_packet, head, False)
                 else:
                     self._accept_cb(
-                        self.sink_port, self._s_vc, self._s_packet,
-                        self._s_head, False,
+                        self.sink_port, self._s_vc, self._s_packet, head,
+                        False,
                     )
-        self._s_head = False
         self._kick()
 
     def _close_stream(self) -> None:

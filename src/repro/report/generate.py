@@ -156,10 +156,15 @@ def _run_health(summary: BenchSummary,
         lines += ["No sweep-engine statistics in this tree (benches "
                   "pre-date engine recording, or none ran sweeps).", ""]
     if summary.kernel is not None:
-        parity = "✅ byte-identical" if summary.kernel.parity_ok else "❌ MISMATCH"
+        kernel = summary.kernel
+        parity = "✅ byte-identical" if kernel.parity_ok else "❌ MISMATCH"
+        rivals = ", ".join(k for k in kernel.kernels if k != "heap")
+        speedups = ", ".join(
+            f"{k} {v:.2f}x" for k, v in kernel.speedups.items()
+        ) or f"{kernel.speedup:.2f}x"
         lines += [
-            f"Kernel parity (bucket vs heap metrics JSON): {parity}; "
-            f"speedup {summary.kernel.speedup:.2f}x.",
+            f"Kernel parity ({rivals or 'kernels'} vs heap metrics JSON): "
+            f"{parity}; speedup {speedups}.",
             "",
         ]
     if summary.campaigns:

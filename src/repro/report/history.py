@@ -167,7 +167,7 @@ def trajectory_figures(snapshots: Sequence[HistorySnapshot],
             speedups = [s.kernel_speedup for s in snapshots if s.kernel_speedup]
             if speedups:
                 fig.caption = (
-                    f"Bucket-vs-heap speedup over the window: "
+                    f"Default-kernel speedup over heap across the window: "
                     f"{min(speedups):.2f}x – {max(speedups):.2f}x "
                     f"(latest {speedups[-1]:.2f}x)."
                 )

@@ -199,11 +199,11 @@ class KernelPerfRecord:
 
     workload: Dict = field(default_factory=dict)
     kernels: Dict[str, KernelRun] = field(default_factory=dict)
-    #: Historical scalar: bucket events/sec over heap (kept stable so old
-    #: trajectory points stay comparable).
+    #: The default kernel's events/sec over heap (archived records written
+    #: while ``bucket`` was the default carry bucket's figure here).
     speedup: float = 0.0
     #: Per-kernel events/sec over the heap baseline, one entry per
-    #: registered non-heap kernel that ran (``{"bucket": ..., "epoch": ...}``).
+    #: registered non-heap kernel that ran (``{"epoch": ...}``).
     speedups: Dict[str, float] = field(default_factory=dict)
     parity_ok: bool = True
 
@@ -495,8 +495,8 @@ class HistorySnapshot:
     kernel_events_per_sec: Dict[str, float] = field(default_factory=dict)
     kernel_speedup: float = 0.0
     #: Per-kernel speedup over the heap baseline (one column per
-    #: registered non-heap kernel; pre-epoch snapshots carry only the
-    #: bucket-vs-heap scalar above).
+    #: non-heap kernel that ran; pre-epoch snapshots carry only the scalar
+    #: above).
     kernel_speedups: Dict[str, float] = field(default_factory=dict)
     bench_cycles: int = 0
     #: Farm campaign totals at snapshot time (``campaigns``, ``points``,

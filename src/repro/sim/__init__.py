@@ -1,9 +1,7 @@
 """Simulation substrate: deterministic event kernel, RNG streams, barriers.
 
 Importing this package populates the scheduler registry: ``kernel``
-registers the ``bucket`` and ``heap`` baselines, ``epoch`` the
-token-batched kernel.  ``SCHEDULERS`` is kept as a lazy alias of
-:func:`~repro.sim.schedulers.scheduler_names` for pre-registry callers.
+registers the ``heap`` reference, ``epoch`` the token-batched default.
 """
 
 from .barrier import Barrier
@@ -20,7 +18,6 @@ __all__ = [
     "Event",
     "KernelProfile",
     "RngFactory",
-    "SCHEDULERS",
     "Scheduler",
     "Simulator",
     "register_scheduler",
@@ -29,9 +26,3 @@ __all__ = [
     "scheduler_names",
 ]
 
-
-def __getattr__(name: str):
-    # Backwards compatibility: the pre-registry API was a tuple constant.
-    if name == "SCHEDULERS":
-        return scheduler_names()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

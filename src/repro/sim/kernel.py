@@ -8,43 +8,25 @@ are scheduled for the same cycle fire in the order they were scheduled, which
 makes every run bit-for-bit reproducible for a given seed.
 
 Scheduler implementations are pluggable (see :mod:`repro.sim.schedulers`);
-this module registers the two built-in baselines:
+this module holds the shared :class:`Event`/:class:`Simulator` machinery and
+registers the reference scheduler:
 
 ``"heap"``
-    The original single binary heap keyed by ``(cycle, seq)``.  Kept intact
-    as the measured baseline (``repro perf`` compares against it) and as the
-    executable specification the parity tests diff the fast paths against.
+    A single binary heap keyed by ``(cycle, seq)``.  Kept intact as the
+    measured baseline (``repro perf`` compares against it) and as the
+    executable specification the parity tests diff the fast path against.
 
-``"bucket"`` (the default)
-    A hybrid calendar queue.  Almost every event in a flit-level run is
-    scheduled a small constant number of cycles ahead (``cycles_per_flit``
-    is 1-4, route delays ~1, NIC overheads a few cycles), so events landing
-    within ``_WINDOW`` cycles of *now* go into a ring of per-cycle FIFO
-    lists: scheduling is a plain ``list.append`` and dispatch walks the
-    list -- no heap sift, no Python-level ``Event.__lt__`` calls.  Far
-    events (retransmit timeouts, barriers, fault plans, light-traffic
-    compute gaps) fall back to the binary heap and are merged back in when
-    their cycle comes up.  Combined with the :meth:`Simulator.post`
-    free-list (recycling the millions of short-lived ``Event`` objects per
-    run), this is the kernel fast path.
+:mod:`repro.sim.epoch` registers ``"epoch"`` (the default), the fast path:
+a per-cycle calendar ring of bare ``(fn, args)`` token records plus fused
+per-link flit runs.
 
-``repro.sim.epoch`` registers a third scheduler, ``"epoch"``, which keeps
-the same ring but posts fire-and-forget events as bare ``(fn, args)``
-tuples and lets links fuse per-flit token runs (see that module).
-
-Ordering across the heap and ring stores is still global ``(cycle, seq)``
-order: a heap event for cycle *c* needed at least a ``_WINDOW``-cycle lead
-to land in the heap, so it was scheduled at a strictly earlier simulated
-time -- and therefore holds a strictly lower sequence number -- than every
-ring event for *c*.  Draining the heap before the ring at each cycle is
-exactly seq order, which the parity suite verifies workload-by-workload.
-
-Self-profiling (:meth:`Simulator.enable_profiling`) measures where the
-*simulator's own* wall-clock time goes: events executed per second and
-cumulative time per handler type.  It exists so performance regressions in
-the simulator become a measured number run-to-run rather than a feeling;
-the profiled loop is a separate code path, so an un-profiled run pays
-nothing for the feature.
+Each kernel has exactly one event-drain loop (``_drain``).  Self-profiling
+(:meth:`Simulator.enable_profiling`) measures where the *simulator's own*
+wall-clock time goes: events executed per second and cumulative time per
+handler type.  It exists so performance regressions in the simulator become
+a measured number run-to-run rather than a feeling; in the drain loop it is
+one ``profile is None`` branch around the handler call, so an un-profiled
+run pays a single pointer compare per event.
 """
 
 from __future__ import annotations
@@ -54,38 +36,16 @@ import time
 from typing import Any, Callable, Dict, List, Optional
 
 from .schedulers import (DEFAULT_SCHEDULER, Scheduler, register_scheduler,
-                         resolve_scheduler, scheduler_names)
-
-#: Span of the bucket ring in cycles (power of two so the slot index is a
-#: mask).  Events scheduled fewer than ``_WINDOW`` cycles ahead take the
-#: ring fast path; everything else falls back to the heap.
-_WINDOW = 64
-_MASK = _WINDOW - 1
-
-#: Upper bound on the :meth:`Simulator.post` free list, so a burst of
-#: simultaneously-pending events cannot pin memory forever.
-_FREE_MAX = 4096
-
-
-def __getattr__(name: str):
-    # Backwards compatibility: the pre-registry API was a module-level
-    # tuple.  Resolved lazily so late-registered schedulers appear.
-    if name == "SCHEDULERS":
-        return scheduler_names()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+                         resolve_scheduler)
 
 
 class Event:
     """A scheduled callback.  Returned by :meth:`Simulator.schedule`.
 
     Cancellation is O(1): the event is flagged and skipped when popped.
-    Events created through :meth:`Simulator.post` are *pooled*: the kernel
-    recycles them through a free list after they fire, which is why
-    ``post`` never hands the object out.
     """
 
-    __slots__ = ("cycle", "seq", "fn", "args", "cancelled", "_fired",
-                 "_pooled", "_sim")
+    __slots__ = ("cycle", "seq", "fn", "args", "cancelled", "_fired", "_sim")
 
     def __init__(self, cycle: int, seq: int, fn: Callable[..., Any], args: tuple):
         self.cycle = cycle
@@ -94,7 +54,6 @@ class Event:
         self.args = args
         self.cancelled = False
         self._fired = False
-        self._pooled = False
         self._sim: Optional["Simulator"] = None
 
     def cancel(self) -> None:
@@ -204,8 +163,6 @@ class Simulator(Scheduler):
         self._now = 0
         self._seq = 0
         self._heap: List[Event] = []
-        self._free: List[Event] = []
-        self._running = False
         self._live = 0
         self._profile: Optional[KernelProfile] = None
 
@@ -225,8 +182,8 @@ class Simulator(Scheduler):
         return self._profile
 
     def enable_profiling(self) -> KernelProfile:
-        """Switch the run loop to the timed path.  Idempotent; returns the
-        profile (which accumulates across run calls)."""
+        """Turn on per-handler timing in the drain loop.  Idempotent;
+        returns the profile (which accumulates across run calls)."""
         if self._profile is None:
             self._profile = KernelProfile()
         return self._profile
@@ -237,6 +194,37 @@ class Simulator(Scheduler):
             raise ValueError(f"cannot schedule in the past (delay={delay})")
         return self.at(self._now + delay, fn, *args)
 
+    def run_until(self, cycle: int) -> None:
+        """Run all events with timestamp strictly less than ``cycle``.
+
+        Afterwards ``self.now == cycle`` (unless the event queue drained
+        earlier, in which case ``now`` still advances to ``cycle``).
+        """
+        self._run(cycle)
+        self._now = max(self._now, cycle)
+
+    def run(self, max_cycles: Optional[int] = None) -> None:
+        """Run until the event queue is empty (or ``max_cycles`` elapses)."""
+        if max_cycles is not None:
+            self.run_until(self._now + max_cycles)
+        else:
+            self._run(None)
+
+    def _run(self, bound: Optional[int]) -> None:
+        """:meth:`_drain` plus the profile's whole-loop wall clock."""
+        profile = self._profile
+        loop_start = time.perf_counter()
+        try:
+            self._drain(bound)
+        finally:
+            if profile is not None:
+                profile.loop_seconds += time.perf_counter() - loop_start
+
+    def _drain(self, bound: Optional[int]) -> None:
+        """Fire events in ``(cycle, seq)`` order until the queue is empty
+        or the next event is at or after ``bound`` (None: no bound)."""
+        raise NotImplementedError
+
     def pending_events(self) -> int:
         """Number of not-yet-cancelled events still queued.  O(1): a live
         count is maintained on schedule/cancel/pop (the liveness watchdog
@@ -244,12 +232,11 @@ class Simulator(Scheduler):
         return self._live
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        queued = len(self._heap) + getattr(self, "_nbucket", 0)
-        return f"<Simulator {self.name} now={self._now} queued={queued}>"
+        return f"<Simulator {self.name} now={self._now} pending={self._live}>"
 
 
 class HeapSimulator(Simulator):
-    """The original binary-heap kernel: the preserved, measured baseline."""
+    """The binary-heap kernel: the preserved, measured baseline."""
 
     name = "heap"
     description = ("single binary heap keyed by (cycle, seq); the slow, "
@@ -270,293 +257,31 @@ class HeapSimulator(Simulator):
 
     def post(self, delay: int, fn: Callable[..., Any], *args: Any) -> None:
         """Fire-and-forget :meth:`schedule`.  The heap kernel is the
-        preserved baseline: one fresh allocation per event, exactly as the
-        original kernel behaved -- no pooling, no recycling."""
+        preserved baseline: one fresh Event per call, exactly as the
+        original kernel behaved."""
         if delay < 0:
             raise ValueError(f"cannot schedule in the past (delay={delay})")
         self.at(self._now + delay, fn, *args)
 
-    def run_until(self, cycle: int) -> None:
-        """Run all events with timestamp strictly less than ``cycle``.
-
-        Afterwards ``self.now == cycle`` (unless the event queue drained
-        earlier, in which case ``now`` still advances to ``cycle``).
-        """
-        self._running = True
+    def _drain(self, bound: Optional[int]) -> None:
         heap = self._heap
-        try:
-            if self._profile is None:
-                while heap and heap[0].cycle < cycle:
-                    event = heapq.heappop(heap)
-                    if event.cancelled:
-                        continue
-                    event._fired = True
-                    self._live -= 1
-                    self._now = event.cycle
-                    event.fn(*event.args)
-            else:
-                self._run_profiled(lambda: heap and heap[0].cycle < cycle)
-        finally:
-            self._running = False
-        self._now = max(self._now, cycle)
-
-    def run(self, max_cycles: Optional[int] = None) -> None:
-        """Run until the event queue is empty (or ``max_cycles`` elapses)."""
-        if max_cycles is not None:
-            self.run_until(self._now + max_cycles)
-            return
-        self._running = True
-        heap = self._heap
-        try:
-            if self._profile is None:
-                while heap:
-                    event = heapq.heappop(heap)
-                    if event.cancelled:
-                        continue
-                    event._fired = True
-                    self._live -= 1
-                    self._now = event.cycle
-                    event.fn(*event.args)
-            else:
-                self._run_profiled(lambda: bool(heap))
-        finally:
-            self._running = False
-
-    def _run_profiled(self, more: Callable[[], Any]) -> None:
-        """The timed heap event loop: same semantics as the plain loops,
-        plus per-handler wall-clock accounting."""
-        heap = self._heap
+        heappop = heapq.heappop
         profile = self._profile
         clock = time.perf_counter
-        loop_start = clock()
-        try:
-            while more():
-                event = heapq.heappop(heap)
-                if event.cancelled:
-                    continue
-                event._fired = True
-                self._live -= 1
-                self._now = event.cycle
+        while heap and (bound is None or heap[0].cycle < bound):
+            event = heappop(heap)
+            if event.cancelled:
+                continue
+            event._fired = True
+            self._live -= 1
+            self._now = event.cycle
+            if profile is None:
+                event.fn(*event.args)
+            else:
                 start = clock()
                 event.fn(*event.args)
                 profile.note(event.fn, clock() - start)
                 profile.events += 1
-        finally:
-            profile.loop_seconds += clock() - loop_start
 
 
-class RingKernel(Simulator):
-    """Shared machinery for ring-based kernels (``bucket``, ``epoch``):
-    the ``_WINDOW``-cycle calendar ring plus the far-event heap."""
-
-    def __init__(self, scheduler: Optional[str] = None) -> None:
-        super().__init__(scheduler)
-        self._buckets: List[List] = [[] for _ in range(_WINDOW)]
-        self._nbucket = 0  # entries (incl. cancelled husks) in the ring
-
-    def _next_event_cycle(self) -> Optional[int]:
-        """Earliest cycle holding a queued event (husks included), or None.
-
-        With the ring non-empty the scan terminates within ``_WINDOW``
-        slots by construction; in flit-saturated runs it terminates in one
-        or two.
-        """
-        heap = self._heap
-        if self._nbucket:
-            buckets = self._buckets
-            c = self._now
-            while not buckets[c & _MASK]:
-                c += 1
-            if heap and heap[0].cycle < c:
-                return heap[0].cycle
-            return c
-        if heap:
-            return heap[0].cycle
-        return None
-
-    def at(self, cycle: int, fn: Callable[..., Any], *args: Any) -> Event:
-        """Schedule ``fn(*args)`` to run at absolute ``cycle``."""
-        if cycle < self._now:
-            raise ValueError(
-                f"cannot schedule at cycle {cycle}; current cycle is {self._now}"
-            )
-        event = Event(cycle, self._seq, fn, args)
-        event._sim = self
-        self._seq += 1
-        self._live += 1
-        if cycle - self._now < _WINDOW:
-            self._buckets[cycle & _MASK].append(event)
-            self._nbucket += 1
-        else:
-            heapq.heappush(self._heap, event)
-        return event
-
-
-class BucketSimulator(RingKernel):
-    """The hybrid calendar-queue kernel (see the module docstring)."""
-
-    name = "bucket"
-    description = ("calendar-queue ring for near events + heap fallback, "
-                   "with pooled fire-and-forget events (the default)")
-
-    def post(self, delay: int, fn: Callable[..., Any], *args: Any) -> None:
-        """Schedule fire-and-forget: like :meth:`schedule`, but returns no
-        handle and the event can never be cancelled.
-
-        This is the hot-path API.  Links, routers, processors and the NIC
-        ack pumps schedule millions of short-lived events per run and never
-        cancel one; ``post`` recycles those :class:`Event` objects through
-        a free list instead of allocating each time.  Recycled events are
-        never handed out, so a stale reference can never cancel (or
-        observe) a later occupant -- anything that might need cancelling
-        must use :meth:`schedule` / :meth:`at`, which always return a
-        fresh, never-recycled Event.
-        """
-        if delay < 0:
-            raise ValueError(f"cannot schedule in the past (delay={delay})")
-        cycle = self._now + delay
-        free = self._free
-        if free:
-            event = free.pop()
-            event.cycle = cycle
-            event.seq = self._seq
-            event.fn = fn
-            event.args = args
-            event.cancelled = False
-            event._fired = False
-        else:
-            event = Event(cycle, self._seq, fn, args)
-            event._pooled = True
-            event._sim = self
-        self._seq += 1
-        self._live += 1
-        if delay < _WINDOW:
-            self._buckets[cycle & _MASK].append(event)
-            self._nbucket += 1
-        else:
-            heapq.heappush(self._heap, event)
-
-    def run_until(self, cycle: int) -> None:
-        """Run all events with timestamp strictly less than ``cycle``."""
-        self._running = True
-        try:
-            if self._profile is None:
-                self._run_buckets(cycle)
-            else:
-                self._run_buckets_profiled(cycle)
-        finally:
-            self._running = False
-        self._now = max(self._now, cycle)
-
-    def run(self, max_cycles: Optional[int] = None) -> None:
-        """Run until the event queue is empty (or ``max_cycles`` elapses)."""
-        if max_cycles is not None:
-            self.run_until(self._now + max_cycles)
-            return
-        self._running = True
-        try:
-            if self._profile is None:
-                self._run_buckets(None)
-            else:
-                self._run_buckets_profiled(None)
-        finally:
-            self._running = False
-
-    def _run_buckets(self, bound: Optional[int]) -> None:
-        """The calendar-queue event loop: identical firing order to the
-        heap loops, with pooled-event recycling."""
-        heap = self._heap
-        buckets = self._buckets
-        free = self._free
-        heappop = heapq.heappop
-        while True:
-            c = self._next_event_cycle()
-            if c is None or (bound is not None and c >= bound):
-                return
-            self._now = c
-            # Heap first: every heap event for this cycle was scheduled at
-            # an earlier simulated time than every bucket event for it
-            # (it needed a >= _WINDOW lead to be in the heap at all), so it
-            # carries a lower seq.  Handlers can only add *bucket* events
-            # for the current cycle, so this drain cannot starve.
-            while heap and heap[0].cycle == c:
-                event = heappop(heap)
-                if not event.cancelled:
-                    event._fired = True
-                    self._live -= 1
-                    event.fn(*event.args)
-                if event._pooled and len(free) < _FREE_MAX:
-                    event.fn = None
-                    event.args = ()
-                    free.append(event)
-            bucket = buckets[c & _MASK]
-            i = 0
-            while i < len(bucket):  # handlers may append same-cycle events
-                event = bucket[i]
-                i += 1
-                if not event.cancelled:
-                    event._fired = True
-                    self._live -= 1
-                    event.fn(*event.args)
-                if event._pooled and len(free) < _FREE_MAX:
-                    event.fn = None
-                    event.args = ()
-                    free.append(event)
-            self._nbucket -= i
-            del bucket[:]
-
-    def _run_buckets_profiled(self, bound: Optional[int]) -> None:
-        """Timed twin of :meth:`_run_buckets` (per-handler wall-clock)."""
-        heap = self._heap
-        buckets = self._buckets
-        free = self._free
-        heappop = heapq.heappop
-        profile = self._profile
-        clock = time.perf_counter
-        loop_start = clock()
-        try:
-            while True:
-                c = self._next_event_cycle()
-                if c is None or (bound is not None and c >= bound):
-                    return
-                self._now = c
-                while heap and heap[0].cycle == c:
-                    event = heappop(heap)
-                    if not event.cancelled:
-                        event._fired = True
-                        self._live -= 1
-                        start = clock()
-                        event.fn(*event.args)
-                        profile.note(event.fn, clock() - start)
-                        profile.events += 1
-                    if event._pooled and len(free) < _FREE_MAX:
-                        event.fn = None
-                        event.args = ()
-                        free.append(event)
-                bucket = buckets[c & _MASK]
-                i = 0
-                while i < len(bucket):
-                    event = bucket[i]
-                    i += 1
-                    if not event.cancelled:
-                        event._fired = True
-                        self._live -= 1
-                        start = clock()
-                        event.fn(*event.args)
-                        profile.note(event.fn, clock() - start)
-                        profile.events += 1
-                    if event._pooled and len(free) < _FREE_MAX:
-                        event.fn = None
-                        event.args = ()
-                        free.append(event)
-                self._nbucket -= i
-                del bucket[:]
-        finally:
-            profile.loop_seconds += clock() - loop_start
-
-
-# Registration order is presentation order (CLI choices, perf tables):
-# keep the historical ("bucket", "heap") prefix; epoch appends on import
-# of repro.sim.epoch.
-register_scheduler(BucketSimulator)
 register_scheduler(HeapSimulator)

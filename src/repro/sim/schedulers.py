@@ -1,9 +1,7 @@
 """Scheduler registry: the pluggable event-queue API of the kernel.
 
-Historically the kernel exposed a hardcoded ``SCHEDULERS`` tuple that
-``kernel.py``, ``experiments/spec.py`` and ``cli.py`` each imported and
-range-checked independently; adding a scheduler meant editing three
-files.  This module replaces the tuple with one registry:
+Spec validation, the CLI and ``Simulator(scheduler=...)`` must agree on
+which kernels exist; this module is the one registry they all read:
 
 * :class:`Scheduler` is the interface a kernel implementation provides
   (schedule / post / cancel-via-:class:`~repro.sim.kernel.Event` /
@@ -13,11 +11,11 @@ files.  This module replaces the tuple with one registry:
   validation, CLI choices and ``Simulator(scheduler=...)`` dispatch all
   derive from.
 
-``repro.sim.kernel`` registers ``"bucket"`` (the default) and ``"heap"``;
-``repro.sim.epoch`` registers ``"epoch"``.  Importing :mod:`repro.sim`
-populates the registry.  Registration order is presentation order
-everywhere (CLI ``choices``, the ``repro perf`` table), so built-ins
-keep their historical positions and additions append.
+``repro.sim.kernel`` registers ``"heap"``, the reference implementation;
+``repro.sim.epoch`` registers ``"epoch"``, the fast path and the default.
+Importing :mod:`repro.sim` populates the registry.  Registration order is
+presentation order everywhere (CLI ``choices``, the ``repro perf`` table):
+the reference first, additions append.
 
 This module deliberately imports nothing from :mod:`repro.sim.kernel`:
 implementations import the interface, never the other way around, so a
@@ -29,7 +27,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Optional, Tuple, Type
 
 #: Scheduler used when ``Simulator()`` is built without an explicit name.
-DEFAULT_SCHEDULER = "bucket"
+DEFAULT_SCHEDULER = "epoch"
 
 _REGISTRY: Dict[str, Type["Scheduler"]] = {}
 

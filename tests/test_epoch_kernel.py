@@ -28,30 +28,37 @@ from repro.sim import (
     scheduler_descriptions,
     scheduler_names,
 )
-from repro.sim.epoch import EpochSimulator
-from repro.sim.kernel import _WINDOW, BucketSimulator, HeapSimulator
+from repro.sim.epoch import _WINDOW, EpochSimulator
+from repro.sim.kernel import HeapSimulator
 from repro.traffic import TrafficSpec
 
 
 # ------------------------------------------------------------------ registry
 class TestSchedulerRegistry:
     def test_registered_names_and_order(self):
-        names = scheduler_names()
-        # Historical order: bucket/heap predate the registry; epoch appends.
-        assert names[:2] == ("bucket", "heap")
-        assert "epoch" in names
+        # The reference first, the fast path after it; nothing else.
+        assert scheduler_names() == ("heap", "epoch")
 
     def test_default_is_registered(self):
+        assert DEFAULT_SCHEDULER == "epoch"
         assert DEFAULT_SCHEDULER in scheduler_names()
 
     def test_resolve(self):
         assert resolve_scheduler("heap") is HeapSimulator
-        assert resolve_scheduler("bucket") is BucketSimulator
         assert resolve_scheduler("epoch") is EpochSimulator
 
     def test_resolve_unknown_lists_choices(self):
         with pytest.raises(ValueError, match="choose from"):
             resolve_scheduler("fifo")
+
+    def test_retired_bucket_kernel_is_unknown(self):
+        # No alias: a spec naming the deleted calendar-queue kernel fails
+        # validation instead of silently running on another kernel.
+        with pytest.raises(ValueError, match="unknown scheduler"):
+            Simulator("bucket")
+        with pytest.raises(ValueError, match="unknown kernel"):
+            ExperimentSpec(network="fattree", traffic=TrafficSpec("heavy"),
+                           kernel="bucket")
 
     def test_reregistering_same_class_is_noop(self):
         before = scheduler_names()
@@ -83,7 +90,6 @@ class TestSchedulerRegistry:
     def test_link_streams_capability_flag(self):
         assert EpochSimulator.link_streams is True
         assert not getattr(HeapSimulator, "link_streams", False)
-        assert not getattr(BucketSimulator, "link_streams", False)
 
     def test_subclass_constructs_directly(self):
         # Bypassing the registry dispatch must still work (tests do this).

@@ -73,30 +73,17 @@ class TestSyntheticRuns:
             ))
 
 
-class TestLegacyShim:
-    def test_legacy_kwargs_forward_and_warn(self):
-        with pytest.warns(DeprecationWarning, match="ExperimentSpec"):
-            legacy = run_experiment(
-                "mesh2d", heavy_synthetic(), num_nodes=16, nic_mode="nifdy",
-                run_cycles=5_000, seed=2,
-            )
-        modern = run_experiment(ExperimentSpec(
-            network="mesh2d", traffic=heavy_synthetic(), num_nodes=16,
-            nic_mode="nifdy", run_cycles=5_000, seed=2,
-        ))
-        assert legacy.delivered == modern.delivered
-        assert legacy.cycles == modern.cycles
-
-    def test_unknown_legacy_kwarg_rejected(self):
-        with pytest.raises(TypeError, match="unknown run_experiment"):
-            run_experiment("mesh2d", heavy_synthetic(), warp_factor=9)
-
+class TestSpecOnlyEntryPoint:
     def test_spec_call_rejects_extra_arguments(self):
         spec = ExperimentSpec(
             network="mesh2d", traffic=heavy_synthetic(), run_cycles=100,
         )
-        with pytest.raises(TypeError, match="no further arguments"):
+        with pytest.raises(TypeError, match="'seed'"):
             run_experiment(spec, seed=3)
+
+    def test_non_spec_rejected(self):
+        with pytest.raises(TypeError, match="takes an ExperimentSpec"):
+            run_experiment("mesh2d")
 
 
 class TestCompletionRuns:

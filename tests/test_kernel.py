@@ -1,19 +1,19 @@
 """Tests for the event kernel: ordering, cancellation, time semantics.
 
-Every semantic test runs under both schedulers (the ``sim`` fixture is
-parametrized): the bucket calendar-queue fast path earns its keep only by
-being observably identical to the heap baseline.  Bucket-only mechanics
-(the event free list, heap/ring merging at the window boundary) get their
-own tests below.
+Every semantic test runs under every registered scheduler (the ``sim``
+fixture is parametrized): the epoch calendar-ring fast path earns its keep
+only by being observably identical to the heap reference.  Ring mechanics
+(heap/ring merging at the window boundary, stale handles) get their own
+tests below, still run against every kernel.
 """
 
 import pytest
 
-from repro.sim import SCHEDULERS, Simulator
-from repro.sim.kernel import _WINDOW
+from repro.sim import Simulator, scheduler_names
+from repro.sim.epoch import _WINDOW
 
 
-@pytest.fixture(params=SCHEDULERS)
+@pytest.fixture(params=scheduler_names())
 def sim(request):
     return Simulator(scheduler=request.param)
 
@@ -24,7 +24,7 @@ def test_unknown_scheduler_rejected():
 
 
 def test_scheduler_is_reported(sim):
-    assert sim.scheduler in SCHEDULERS
+    assert sim.scheduler in scheduler_names()
 
 
 def test_schedule_and_run_in_order(sim):
@@ -174,7 +174,7 @@ def test_deterministic_interleaving_across_runs():
         sim.run()
         return log
 
-    runs = [run_once(s) for s in SCHEDULERS for _ in range(2)]
+    runs = [run_once(s) for s in scheduler_names() for _ in range(2)]
     assert all(run == runs[0] for run in runs)
 
 
@@ -190,27 +190,26 @@ def test_post_fires_like_schedule(sim):
 
 
 def test_post_returns_no_handle(sim):
-    # Pooled events are recycled after firing; handing one out would make
-    # a stale reference able to cancel a later, unrelated occupant.
+    # Fire-and-forget: epoch posts are bare tuples with nothing to cancel.
     assert sim.post(1, lambda: None) is None
 
 
 # --------------------------------------------------------------------------
-# Bucket-scheduler mechanics: heap/ring merge ordering and the free list.
+# Calendar-ring mechanics: heap/ring merge ordering and stale handles.
 # --------------------------------------------------------------------------
 
 def test_far_event_fires_before_near_event_at_same_cycle():
     # An event lands in the heap only with a >= _WINDOW-cycle lead, i.e. it
     # was scheduled at an earlier simulated time -- lower seq -- than any
-    # bucket event for the same cycle.  The merge must honour that.
-    for scheduler in SCHEDULERS:
+    # ring event for the same cycle.  The merge must honour that.
+    for scheduler in scheduler_names():
         sim = Simulator(scheduler=scheduler)
         log = []
         target = 2 * _WINDOW
-        sim.at(target, log.append, "far")  # heap in bucket mode
+        sim.at(target, log.append, "far")  # heap in ring kernels
 
         def late_schedule():
-            # At _WINDOW + 1, `target` is < _WINDOW away: bucket path.
+            # At _WINDOW + 1, `target` is < _WINDOW away: ring path.
             sim.at(target, log.append, "near")
 
         sim.at(_WINDOW + 1, late_schedule)
@@ -219,73 +218,45 @@ def test_far_event_fires_before_near_event_at_same_cycle():
 
 
 def test_events_crossing_the_window_boundary():
-    sim = Simulator()
-    log = []
-    # One event per delay straddling the bucket/heap boundary, scheduled
+    # One event per delay straddling the ring/heap boundary, scheduled
     # shuffled; they must still fire in time order.
     delays = [_WINDOW - 1, _WINDOW, _WINDOW + 1, 1, 3 * _WINDOW, 0]
-    for delay in delays:
-        sim.post(delay, log.append, delay)
-    sim.run()
-    assert log == sorted(delays)
+    for scheduler in scheduler_names():
+        sim = Simulator(scheduler=scheduler)
+        log = []
+        for delay in delays:
+            sim.post(delay, log.append, delay)
+        sim.run()
+        assert log == sorted(delays), scheduler
 
 
 def test_run_until_jump_keeps_ring_consistent():
     # run_until far past the last event leaves now deep in virtual time;
     # the ring indices (cycle & mask) must still resolve correctly after.
-    sim = Simulator()
-    log = []
-    sim.post(3, log.append, "a")
-    sim.run_until(10 * _WINDOW + 5)
-    sim.post(2, log.append, "b")
-    sim.post(_WINDOW + 2, log.append, "c")
-    sim.run()
-    assert log == ["a", "b", "c"]
-    assert sim.now == 11 * _WINDOW + 7
-
-
-def test_post_recycles_event_objects():
-    sim = Simulator()
-    sim.post(1, lambda: None)
-    sim.run()
-    assert len(sim._free) == 1
-    recycled = sim._free[0]
-    sim.post(1, lambda: None)
-    assert not sim._free  # popped for reuse, not reallocated
-    sim.run()
-    assert sim._free[0] is recycled
-
-
-def test_heap_mode_does_not_pool():
-    # The heap kernel is the preserved baseline: fresh allocation per
-    # event, so perf comparisons against it measure the real difference.
-    sim = Simulator(scheduler="heap")
-    sim.post(1, lambda: None)
-    sim.run()
-    assert sim._free == []
+    for scheduler in scheduler_names():
+        sim = Simulator(scheduler=scheduler)
+        log = []
+        sim.post(3, log.append, "a")
+        sim.run_until(10 * _WINDOW + 5)
+        sim.post(2, log.append, "b")
+        sim.post(_WINDOW + 2, log.append, "c")
+        sim.run()
+        assert log == ["a", "b", "c"], scheduler
+        assert sim.now == 11 * _WINDOW + 7, scheduler
 
 
 def test_stale_cancel_cannot_kill_recycled_event():
-    # A schedule() handle cancelled after firing must stay a no-op even
-    # while the pool churns underneath (the recycled object a stale cancel
-    # would have corrupted belongs to someone else now).
-    sim = Simulator()
-    log = []
-    handle = sim.schedule(1, log.append, "a")
-    sim.post(1, log.append, "b")
-    sim.run()
-    sim.post(3, log.append, "c")  # reuses the pooled event
-    handle.cancel()
-    sim.run()
-    assert log == ["a", "b", "c"]
-    assert sim.pending_events() == 0
-
-
-def test_free_list_is_bounded():
-    from repro.sim.kernel import _FREE_MAX
-
-    sim = Simulator()
-    for _ in range(_FREE_MAX + 500):
-        sim.post(1, lambda: None)
-    sim.run()
-    assert len(sim._free) == _FREE_MAX
+    # A schedule() handle cancelled after firing must stay a no-op while
+    # later events are queued: it may neither cancel them nor touch the
+    # live count.
+    for scheduler in scheduler_names():
+        sim = Simulator(scheduler=scheduler)
+        log = []
+        handle = sim.schedule(1, log.append, "a")
+        sim.post(1, log.append, "b")
+        sim.run()
+        sim.post(3, log.append, "c")
+        handle.cancel()
+        sim.run()
+        assert log == ["a", "b", "c"], scheduler
+        assert sim.pending_events() == 0, scheduler

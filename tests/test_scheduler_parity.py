@@ -1,8 +1,8 @@
 """Scheduler parity: every registered kernel must be indistinguishable
 from the heap baseline.
 
-A non-heap scheduler (the bucket calendar ring, the epoch token-run
-kernel) is only allowed to exist because it changes *nothing* observable:
+A non-heap scheduler (the epoch calendar-ring, token-run kernel) is only
+allowed to exist because it changes *nothing* observable:
 same-cycle events fire in scheduling order, cross-cycle events fire in
 time order, and every workload produces bit-identical results.  This
 suite enforces that the hard way -- it runs every registered traffic
@@ -90,7 +90,7 @@ def test_parity_suite_covers_every_registered_workload():
 def test_parity_suite_covers_every_registered_kernel():
     """A scheduler added to the registry is automatically matrixed here."""
     assert "heap" in scheduler_names()
-    assert CHALLENGERS  # at least bucket and epoch
+    assert CHALLENGERS  # at least epoch
 
 
 def _canonical_metrics(name: str, kernel: str) -> str:
@@ -123,18 +123,20 @@ def test_kernel_metrics_byte_identical_to_heap(name, kernel):
     )
 
 
-def _canonical_spray_metrics(kernel: str) -> str:
-    """Incast on the spraying fabric under a reorder receiver: the kernel
-    must stay bit-identical even when route choice, jitter, and the
-    retransmission machinery all draw from seeded RNG streams."""
+def _canonical_spray_metrics(
+    kernel: str, num_nodes: int, nic_mode: str, drop_prob: float,
+) -> str:
+    """Incast on a skewed spraying fabric: the kernel must stay
+    bit-identical even when route choice, jitter, and the retransmission
+    machinery all draw from seeded RNG streams."""
     spec = ExperimentSpec(
         network="fattree-spray",
         traffic=TrafficSpec("incast", IncastConfig(rounds=2, packets_per_round=4)),
-        num_nodes=NODES,
-        nic_mode="reorder-bitmap",
+        num_nodes=num_nodes,
+        nic_mode=nic_mode,
         max_cycles=300_000,
         seed=7,
-        drop_prob=0.01,
+        drop_prob=drop_prob,
         network_overrides={"path_skew": 4},
         kernel=kernel,
         observe=Observability(events=True),
@@ -145,9 +147,23 @@ def _canonical_spray_metrics(kernel: str) -> str:
     return json.dumps(metrics, sort_keys=True)
 
 
+#: ``(num_nodes, nic_mode, drop_prob)``.  The lossy reorder receiver is
+#: the RNG-heavy case; the lossless 64-node plain incast is where a link's
+#: token run can be closed and a new one opened by a credit return during
+#: the run's own flit delivery (a lost head flag there once crashed the
+#: epoch kernel with an IndexError in the downstream input unit).
+SPRAY_CASES = {
+    "16-reorder-bitmap-lossy": (NODES, "reorder-bitmap", 0.01),
+    "64-plain": (64, "plain", 0.0),
+}
+
+
 @pytest.mark.parametrize("kernel", CHALLENGERS)
-def test_spraying_fabric_parity(kernel):
-    assert _canonical_spray_metrics(kernel) == _canonical_spray_metrics("heap")
+@pytest.mark.parametrize("case", sorted(SPRAY_CASES))
+def test_spraying_fabric_parity(case, kernel):
+    config = SPRAY_CASES[case]
+    assert (_canonical_spray_metrics(kernel, *config)
+            == _canonical_spray_metrics("heap", *config))
 
 
 def _canonical_mesh_metrics(kernel: str) -> str:
