@@ -488,8 +488,14 @@ def _cmd_farm(args) -> int:
         retries=args.retries, poison_after=args.poison_after, seed=args.seed,
     )
     if args.resume:
-        manifest = RunManifest.load(args.resume)
-        specs = [ExperimentSpec.from_dict(d) for d in manifest.specs]
+        try:
+            manifest = RunManifest.load(args.resume)
+            specs = [ExperimentSpec.from_dict(d) for d in manifest.specs]
+        except (ValueError, OSError) as exc:
+            # A foreign file, or specs the current code no longer accepts.
+            print(f"farm: cannot resume {args.resume}: {exc}",
+                  file=sys.stderr)
+            return 2
         executor = manifest.executor
         try:
             manifest.verify_resumable(specs)

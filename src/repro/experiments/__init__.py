@@ -1,13 +1,9 @@
-"""Experiment harness: specs, tuned parameters, the runner, and the engine."""
+"""Experiment harness: specs, tuned parameters, the runner, sweep helpers,
+and ``SweepEngine`` -- a name for the one engine,
+:class:`repro.farm.FarmEngine`."""
 
 from .configs import BEST_PARAMS, best_params
-from .engine import (
-    ResultCache,
-    SweepEngine,
-    SweepPoint,
-    SweepStats,
-    code_version,
-)
+from .engine import ResultCache, SweepPoint, code_version
 from .runner import (
     NIC_MODES,
     ExperimentResult,
@@ -53,7 +49,6 @@ __all__ = [
     "SpecSerializationError",
     "SweepEngine",
     "SweepPoint",
-    "SweepStats",
     "TrafficFactory",
     "allreduce",
     "best_params",
@@ -81,3 +76,14 @@ __all__ = [
     "sweep_offered_load",
     "sweep_reorder_variants",
 ]
+
+
+def __getattr__(name: str):
+    # ``SweepEngine`` is a name for the one sweep engine,
+    # :class:`repro.farm.FarmEngine`.  The farm imports this package, so
+    # the name resolves on first use rather than at import time.
+    if name == "SweepEngine":
+        from ..farm.engine import FarmEngine
+
+        return FarmEngine
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

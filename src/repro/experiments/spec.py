@@ -4,7 +4,7 @@ Everything :func:`repro.experiments.run_experiment` needs to reproduce a
 run -- network, traffic (by registry name + config so it pickles), NIC
 mode and parameters, horizon, seed, fault plan, observability toggles --
 captured in a frozen dataclass with a stable content hash.  The spec is
-the unit of work the :class:`~repro.experiments.engine.SweepEngine`
+the unit of work the sweep engine (:class:`~repro.farm.FarmEngine`)
 distributes across processes and the key its on-disk result cache uses.
 
 Identity is :meth:`content_hash` (a SHA-256 over the canonical JSON form),

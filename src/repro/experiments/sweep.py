@@ -6,8 +6,8 @@ operating range (Section 1).  Each helper here comes in two layers:
 
 * a **spec generator** (``nifdy_param_specs`` / ``offered_load_specs`` /
   ``machine_size_specs``) that turns the sweep description into a flat
-  list of :class:`~repro.experiments.spec.ExperimentSpec` -- pure data a
-  :class:`~repro.experiments.engine.SweepEngine` can execute in parallel
+  list of :class:`~repro.experiments.spec.ExperimentSpec` -- pure data the
+  sweep engine (:class:`~repro.farm.FarmEngine`) can execute in parallel
   and cache;
 * the classic **one-call helper** (``sweep_nifdy_params`` / ...) that
   generates the specs, runs them through an engine (a private serial,
@@ -17,18 +17,27 @@ operating range (Section 1).  Each helper here comes in two layers:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple,
+)
 
 from ..nic import CollectiveParams, NifdyParams, ReorderParams
 from ..obs import Observability
 from ..traffic import AllReduceConfig, IncastConfig, SyntheticConfig
-from .engine import SweepEngine, SweepPoint
+from .engine import SweepPoint
 from .spec import ExperimentSpec
 from .workloads import allreduce, heavy_synthetic, incast, light_synthetic
 
+if TYPE_CHECKING:
+    from ..farm.engine import FarmEngine
 
-def _engine_or_default(engine: Optional[SweepEngine]) -> SweepEngine:
-    return engine if engine is not None else SweepEngine(jobs=1, cache=False)
+
+def _engine_or_default(engine: Optional[FarmEngine]) -> FarmEngine:
+    if engine is not None:
+        return engine
+    from ..farm.engine import FarmEngine  # deferred: the farm imports us
+
+    return FarmEngine(jobs=1, cache=False)
 
 
 def params_label(params: NifdyParams) -> str:
@@ -79,7 +88,7 @@ def sweep_nifdy_params(
     run_cycles: int = 10_000,
     seed: int = 0,
     combine_light_and_heavy: bool = True,
-    engine: Optional[SweepEngine] = None,
+    engine: Optional[FarmEngine] = None,
 ) -> List[SweepPoint]:
     """Score NIFDY parameter sets on a network (Table 3 methodology:
     "chosen to give the best average performance with both test traffic
@@ -172,7 +181,7 @@ def sweep_offered_load(
     run_cycles: int = 20_000,
     seed: int = 0,
     nifdy_params: Optional[NifdyParams] = None,
-    engine: Optional[SweepEngine] = None,
+    engine: Optional[FarmEngine] = None,
 ) -> List[SweepPoint]:
     """Delivered throughput vs offered load (larger gap = lighter load):
     the Section 1 operating-range curve."""
@@ -243,7 +252,7 @@ def sweep_reorder_variants(
     num_nodes: int = 16,
     seed: int = 0,
     reorder_params: Optional[ReorderParams] = None,
-    engine: Optional[SweepEngine] = None,
+    engine: Optional[FarmEngine] = None,
 ) -> List[SweepPoint]:
     """Run the receiver-variant grid; points come back in spec order
     (variant-major), each carrying delivery, abandonment, order-violation
@@ -301,7 +310,7 @@ def sweep_collective_barrier(
     traffic=None,
     num_nodes: int = 16,
     seed: int = 0,
-    engine: Optional[SweepEngine] = None,
+    engine: Optional[FarmEngine] = None,
 ) -> List[SweepPoint]:
     """Run the host-vs-NIC barrier grid; points come back in spec order
     (mode-major), each carrying the barrier-latency histogram in its
@@ -356,7 +365,7 @@ def sweep_machine_sizes(
     run_cycles: int = 10_000,
     seed: int = 0,
     traffic=None,
-    engine: Optional[SweepEngine] = None,
+    engine: Optional[FarmEngine] = None,
 ) -> Dict[int, Tuple[int, int, float]]:
     """(nifdy delivered, baseline delivered, normalized) per machine size --
     the Figure 4 scalability methodology."""

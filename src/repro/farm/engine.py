@@ -1,9 +1,11 @@
-"""The farm engine: retrying, resumable, crash-surviving campaigns.
+"""The one sweep engine: retrying, resumable, crash-surviving campaigns.
 
-:class:`FarmEngine` is a drop-in for
-:class:`~repro.experiments.engine.SweepEngine` (``run(specs) -> points``
-in input order, a ``stats`` ledger, the same cache and progress hooks)
-that adds the three things a long hostile campaign needs:
+:class:`FarmEngine` executes every sweep in the package (``run(specs) ->
+points`` in input order, a ``stats`` ledger, cache and progress hooks).
+:mod:`repro.experiments` exports it as ``SweepEngine``: built with no
+manifest and no policy, it is a plain sweep -- no retries, an in-memory
+ledger, the shared ``pool`` executor.  Three things serve long hostile
+campaigns on top:
 
 * **Pluggable execution** through the
   :mod:`~repro.farm.executors` registry -- a shared process pool for
@@ -41,10 +43,10 @@ from typing import Callable, Dict, Iterable, List, Optional
 from ..experiments.engine import (
     DEFAULT_CACHE_DIR,
     ResultCache,
-    SweepEngine,
     SweepPoint,
     _execute_in_process,
     _point_from,
+    cacheable,
 )
 from ..experiments.spec import ExperimentSpec
 from ..obs import EventBus, EventKind
@@ -60,7 +62,9 @@ class FarmPolicy:
     ``retries + 1``).  ``poison_after`` is the worker-death count that
     quarantines a point as ``poisoned``; it defaults to the whole
     attempt budget, so a point that kills a worker on every attempt is
-    quarantined exactly when its budget runs out.  ``retry_errors``
+    quarantined exactly when its budget runs out.  Quarantine needs a
+    retry budget: with ``retries=0`` a worker-killing failure settles as
+    ``timed_out`` or ``worker_died``, never ``poisoned``.  ``retry_errors``
     opts plain (deterministic) in-point exceptions into the retry loop
     -- off by default, because retrying a deterministic failure only
     burns wall clock.
@@ -122,7 +126,12 @@ def backoff_delay(policy: FarmPolicy, index: int, attempt: int) -> float:
 
 @dataclass
 class FarmStats:
-    """What one farm campaign (cumulatively) did."""
+    """What one engine (cumulatively, across runs) did.
+
+    ``worker_deaths`` counts attempts that cost a worker: hard deaths and
+    watchdog kills alike.  ``as_dict`` carries every key
+    :class:`repro.report.schema.EngineStats` reads.
+    """
 
     points: int = 0
     executed: int = 0
@@ -135,6 +144,10 @@ class FarmStats:
     poisoned: int = 0
     wall_s: float = 0.0
 
+    @property
+    def hit_rate(self) -> float:
+        return self.cache_hits / self.points if self.points else 0.0
+
     def as_dict(self) -> Dict:
         return {
             "points": self.points,
@@ -146,6 +159,7 @@ class FarmStats:
             "worker_deaths": self.worker_deaths,
             "retries": self.retries,
             "poisoned": self.poisoned,
+            "hit_rate": round(self.hit_rate, 4),
             "wall_s": round(self.wall_s, 3),
         }
 
@@ -169,13 +183,26 @@ def campaign_id_for(specs: Iterable[ExperimentSpec], executor: str) -> str:
 class FarmEngine:
     """Executes campaigns: cache, then resume ledger, then the executor.
 
-    Constructor arguments mirror :class:`~repro.experiments.SweepEngine`
-    (``jobs``, ``cache``, ``cache_dir``, ``progress``, ``bus``,
-    ``point_timeout``) plus the farm's own: ``executor`` (a registry
-    name or an instance), ``policy`` (:class:`FarmPolicy`), and
-    ``manifest`` -- a :class:`~repro.farm.manifest.RunManifest` to
-    checkpoint into and/or resume from.  ``sleep`` is injectable so
-    tests can assert the backoff schedule without waiting it out.
+    ``jobs`` bounds concurrent points; ``cache`` / ``cache_dir`` control
+    the on-disk result cache; ``progress`` is ``(done, total, point) ->
+    None`` after every settled point; ``bus`` (a
+    :class:`repro.obs.EventBus`) receives one ``sweep_point`` /
+    ``sweep_cache_hit`` / ``sweep_error`` event per settled point plus the
+    ``farm_*`` lifecycle events; ``point_timeout`` (seconds) is each
+    attempt's liveness watchdog.  Then the farm's own: ``executor`` (a
+    registry name or an instance), ``policy`` (:class:`FarmPolicy`; none
+    means no retries), and ``manifest`` -- a
+    :class:`~repro.farm.manifest.RunManifest` to checkpoint into and/or
+    resume from.  Without one, every :meth:`run` builds a fresh in-memory
+    ledger (still exposed as :attr:`manifest`), so the engine can run any
+    number of campaigns back to back.  ``sleep`` is injectable so tests
+    can assert the backoff schedule without waiting it out.
+
+    Portable specs always go through the executor, even at ``jobs=1``;
+    specs holding opaque traffic callables run in-process, one at a time,
+    uncontained and unwatched.  Under the shared ``pool`` executor a hang
+    or crash at ``jobs > 1`` can take co-running points with it: they
+    settle as collateral ``worker_died`` unless a retry policy heals them.
 
     On :class:`KeyboardInterrupt` the engine reverts in-flight points to
     ``pending`` (the interrupted attempt does not count against their
@@ -185,14 +212,14 @@ class FarmEngine:
 
     def __init__(
         self,
-        executor: str = DEFAULT_EXECUTOR,
         jobs: int = 1,
         cache: bool = True,
         cache_dir: Optional[Path] = None,
-        policy: Optional[FarmPolicy] = None,
         progress: Optional[Callable[[int, int, SweepPoint], None]] = None,
         bus: Optional[EventBus] = None,
         point_timeout: Optional[float] = None,
+        executor: str = DEFAULT_EXECUTOR,
+        policy: Optional[FarmPolicy] = None,
         manifest: Optional[RunManifest] = None,
         sleep: Callable[[float], None] = time.sleep,
     ):
@@ -202,11 +229,12 @@ class FarmEngine:
             self.executor = resolve_executor(executor)()
         self.jobs = max(1, int(jobs))
         self.cache = ResultCache(cache_dir or DEFAULT_CACHE_DIR) if cache else None
-        self.policy = policy or FarmPolicy()
+        self.policy = policy or FarmPolicy(retries=0)
         self.progress = progress
         self.bus = bus
         self.point_timeout = point_timeout
         self.manifest = manifest
+        self._ledger_given = manifest is not None
         self.stats = FarmStats()
         self._sleep = sleep
         self._lock = threading.Lock()
@@ -221,15 +249,14 @@ class FarmEngine:
         points: List[Optional[SweepPoint]] = [None] * total
         done_count = [0]
 
-        manifest = self.manifest
-        if manifest is None:
-            manifest = RunManifest.new(
+        if self._ledger_given:
+            manifest = self.manifest
+            manifest.verify_resumable(specs)
+        else:
+            manifest = self.manifest = RunManifest.new(
                 campaign_id_for(specs, self.executor.name),
                 specs, self.executor.name, self.policy.as_dict(),
             )
-            self.manifest = manifest
-        else:
-            manifest.verify_resumable(specs)
 
         def settle(index: int, point: SweepPoint, *, from_resume=False) -> None:
             """Record one settled point (thread-safe) and checkpoint."""
@@ -255,6 +282,13 @@ class FarmEngine:
                     time.perf_counter() - started + self.stats.wall_s, 3
                 )
                 manifest.checkpoint(stats)
+                if self.bus is not None:
+                    kind = (
+                        EventKind.SWEEP_ERROR if point.error is not None
+                        else EventKind.SWEEP_CACHE_HIT if point.cached
+                        else EventKind.SWEEP_POINT
+                    )
+                    self.bus.emit(done_count[0], kind, -1, info=point.label)
                 if self.progress is not None:
                     self.progress(done_count[0], total, point)
 
@@ -272,7 +306,7 @@ class FarmEngine:
                 self._emit(EventKind.FARM_RESUME, index,
                            f"{ps.label}: {ps.state} (from manifest)")
                 continue
-            if self.cache is not None and SweepEngine._cacheable(spec):
+            if self.cache is not None and cacheable(spec):
                 hit = self.cache.get(spec)
                 if hit is not None:
                     ps.state = "done"
@@ -303,30 +337,35 @@ class FarmEngine:
 
     # ------------------------------------------------------------ dispatch
     def _dispatch(self, specs, pending, settle) -> None:
-        if not pending:
-            return
-        self.executor.start(self.jobs)
-        if self.jobs == 1:
-            for index in pending:
+        portable = [i for i in pending if specs[i].portable]
+        workers = min(self.jobs, len(portable))
+        if workers:
+            self.executor.start(workers)
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as threads:
+                futures = [
+                    threads.submit(self._run_point, specs, index, settle)
+                    for index in portable
+                ]
+                try:
+                    for future in futures:
+                        future.result()
+                except KeyboardInterrupt:
+                    self._interrupt.set()
+                    self.executor.interrupt()
+                    for future in futures:
+                        future.cancel()
+                    raise
+        # Opaque traffic callables cannot cross a process boundary, and
+        # threads would only contend for the GIL: in-process points run
+        # here, one at a time.
+        for index in pending:
+            if workers <= 1 or not specs[index].portable:
                 self._run_point(specs, index, settle)
-            return
-        with ThreadPoolExecutor(max_workers=self.jobs) as threads:
-            futures = [
-                threads.submit(self._run_point, specs, index, settle)
-                for index in pending
-            ]
-            try:
-                for future in futures:
-                    future.result()
-            except KeyboardInterrupt:
-                self._interrupt.set()
-                self.executor.interrupt()
-                for future in futures:
-                    future.cancel()
-                raise
 
     def _run_point(self, specs, index: int, settle) -> None:
-        """One point's full retry loop (runs on a dispatcher thread)."""
+        """One point's full retry loop (on a dispatcher thread when
+        ``jobs > 1``)."""
         spec = specs[index]
         ps = self.manifest.points[index]
         policy = self.policy
@@ -348,7 +387,7 @@ class FarmEngine:
                 ps.state = "done"
                 ps.error = None
                 ps.result = result
-                if self.cache is not None and SweepEngine._cacheable(spec):
+                if self.cache is not None and cacheable(spec):
                     self.cache.put(spec, result)
                 settle(index, _point_from(spec, result, cached=False))
                 return
@@ -359,7 +398,8 @@ class FarmEngine:
                 ps.worker_deaths += 1
                 with self._lock:
                     self.stats.worker_deaths += 1
-            if ps.worker_deaths >= policy.poison_threshold:
+            if (policy.max_attempts > 1
+                    and ps.worker_deaths >= policy.poison_threshold):
                 ps.state = "poisoned"
                 ps.error = result["error"]
                 result = dict(result, poisoned=True)
@@ -386,10 +426,7 @@ class FarmEngine:
             return
 
     def _execute(self, spec: ExperimentSpec) -> Dict:
-        if not spec.portable:
-            # Opaque traffic callables cannot cross a process boundary:
-            # run in-process, uncontained and unwatched, like the sweep
-            # engine does.
+        if not spec.portable:  # in-process, uncontained and unwatched
             return _execute_in_process(spec)
         return self.executor.run_point(spec.to_dict(), self.point_timeout)
 

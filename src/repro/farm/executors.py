@@ -1,9 +1,8 @@
 """Executor registry: the pluggable point-execution backends of the farm.
 
-The sweep engine hardcodes one execution strategy (a shared
-``ProcessPoolExecutor``).  The farm separates *what to run and how to
-recover* (:class:`~repro.farm.engine.FarmEngine`) from *how a single point
-is executed* (this module), behind the same registry idiom as
+The one sweep engine (:class:`~repro.farm.engine.FarmEngine`) decides
+*what to run and how to recover*; this module decides *how a single point
+is executed*, behind the same registry idiom as
 :mod:`repro.sim.schedulers`: implementations carry a ``name`` class
 attribute, :func:`register_executor` is a decorator, re-registering the
 same class is a no-op, and a name collision raises.
@@ -17,6 +16,8 @@ Two backends ship with the package:
     backend regenerates the pool and reports the waited point as
     ``worker_died``; co-resident in-flight points may be reported as
     collateral ``worker_died`` and heal through the farm's retry loop.
+    Every plain sweep runs here, so this is the package's only process
+    pool and its only pool-rescue path.
 
 ``subprocess``
     One fresh interpreter per point (``python -m repro.farm.worker``).
@@ -213,8 +214,9 @@ class PoolExecutor(FarmExecutor):
             self._degrade(generation, kill=True)
             return {
                 "error": (
-                    f"point exceeded the {timeout}s liveness watchdog; "
-                    "pool generation terminated, point not cached"
+                    f"point exceeded the {timeout}s wall-clock timeout "
+                    "(liveness watchdog); pool generation terminated, "
+                    "point not cached"
                 ),
                 "timed_out": True,
             }

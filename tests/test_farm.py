@@ -299,7 +299,38 @@ class TestFarmEngine:
         FarmEngine(executor="pool", cache=False, policy=policy, bus=bus,
                    sleep=lambda s: None).run([bad])
         assert seen == [EventKind.FARM_DISPATCH, EventKind.FARM_RETRY,
-                        EventKind.FARM_DISPATCH]
+                        EventKind.FARM_DISPATCH, EventKind.SWEEP_ERROR]
+
+    def test_engine_without_manifest_runs_campaigns_back_to_back(
+            self, tmp_path):
+        # Each run builds its own in-memory ledger: a different campaign
+        # is not a manifest mismatch, and a repeat executes (or hits the
+        # cache) instead of replaying the last run as resumed.
+        farm = FarmEngine(executor="pool", cache=False)
+        (first,) = farm.run([small_spec(seed=2)])
+        (second,) = farm.run([small_spec(seed=5)])
+        (repeat,) = farm.run([small_spec(seed=5)])
+        assert first.ok and second.ok and repeat.ok and not repeat.cached
+        assert point_tuple(repeat) == point_tuple(second)
+        assert farm.stats.executed == 3 and farm.stats.resumed == 0
+        assert farm.manifest.points[0].attempts == 1
+
+        cached = FarmEngine(executor="pool", cache_dir=tmp_path)
+        cached.run([small_spec(seed=5)])
+        (hit,) = cached.run([small_spec(seed=5)])
+        assert hit.cached and point_tuple(hit) == point_tuple(second)
+        assert cached.stats.cache_hits == 1 and cached.stats.resumed == 0
+
+    def test_no_retry_timeout_settles_timed_out_not_poisoned(self):
+        slow = small_spec(run_cycles=500_000_000, label="slow")
+        farm = FarmEngine(executor="pool", cache=False, point_timeout=1.0,
+                          policy=FarmPolicy(retries=0))
+        (point,) = farm.run([slow])
+        assert point.timed_out and not point.poisoned
+        assert "timeout" in point.error
+        assert farm.manifest.points[0].state == "timed_out"
+        assert farm.stats.timeouts == 1 and farm.stats.poisoned == 0
+        assert farm.stats.retries == 0
 
     def test_cache_hit_skips_dispatch(self, tmp_path):
         spec = small_spec()
@@ -439,6 +470,20 @@ class TestFarmCli:
         assert main(["farm", "--resume", str(manifest_path), "--no-cache",
                      "--quiet"]) == 0
         assert capsys.readouterr().out == first
+
+    def test_resume_of_stale_manifest_fails_cleanly(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "stale.json"
+        RunManifest.new("stale", [small_spec()], "pool", {},
+                        path=path).checkpoint()
+        doc = json.loads(path.read_text())
+        doc["specs"][0]["kernel"] = "bucket"  # a kernel the code dropped
+        path.write_text(json.dumps(doc))
+        assert main(["farm", "--resume", str(path), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"farm: cannot resume {path}: ")
+        assert "unknown kernel 'bucket'" in err and "Traceback" not in err
 
     def test_fresh_needs_network(self, capsys):
         from repro.cli import main
